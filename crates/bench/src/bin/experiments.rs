@@ -58,7 +58,8 @@ fn heading(title: &str) {
 fn main() {
     println!("# Experiment report — Explaining Queries over Web Tables to Non-Experts");
     println!(
-        "\nSynthetic substrate (see DESIGN.md); all numbers deterministic for the fixed seed."
+        "\nSynthetic substrate (README.md, Workspace layout: wtq-dataset, wtq-study); \
+         all numbers deterministic for the fixed seed."
     );
 
     // A moderately sized environment keeps the full run under a minute in

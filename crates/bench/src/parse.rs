@@ -161,7 +161,6 @@ pub fn parsing_report(questions_per_workload: usize) -> ParsingReport {
     let mut interned_total_us = 0.0;
     let mut reference_total_us = 0.0;
     let mut total_questions = 0usize;
-    wtq_parser::reset_parse_stats();
     for (name, family) in parse_workloads() {
         let questions = family_questions(
             &table,
@@ -210,7 +209,7 @@ pub fn parsing_report(questions_per_workload: usize) -> ParsingReport {
             speedup: reference_us / interned_us,
         });
     }
-    let stages = StageBreakdown::from_stats(&wtq_parser::parse_stats());
+    let stages = StageBreakdown::from_stats(&parser.counters().snapshot());
 
     let interned_qps = 1e6 * total_questions as f64 / interned_total_us;
     let reference_qps = 1e6 * total_questions as f64 / reference_total_us;

@@ -124,9 +124,10 @@ pub struct EngineStats {
     /// engine's behalf shares that set, so the numbers cover exactly this
     /// engine's activity, not the whole process.
     pub planner: wtq_sql::PlannerStats,
-    /// Parse-pipeline stage timings (process-wide): tokenize, lexicon,
-    /// candidate composition, formula execution, feature extraction and
-    /// scoring spans per question.
+    /// Parse-pipeline stage timings: tokenize, lexicon, candidate
+    /// composition, formula execution, feature extraction and scoring spans
+    /// per question. Counted in a set the engine gives its parser on
+    /// construction, so they cover this engine's parses only.
     pub parsing: wtq_parser::ParseStats,
     /// Deduplicating answer-cache counters, populated when the engine is
     /// served through a [`crate::CachedEngine`]; all-zero on a bare engine
@@ -223,7 +224,7 @@ impl Engine {
     /// An engine with explicit configuration.
     pub fn with_config(parser: SemanticParser, config: EngineConfig) -> Self {
         Engine {
-            parser,
+            parser: parser.with_counters(Arc::default()),
             indexes: IndexCache::with_capacity(config.index_cache_capacity),
             config,
             counters: EngineCounters::default(),
@@ -253,7 +254,7 @@ impl Engine {
             batches_served: self.counters.batches_served.load(Ordering::Relaxed),
             in_flight: self.counters.in_flight.load(Ordering::Relaxed),
             planner: self.planner.snapshot(),
-            parsing: wtq_parser::parse_stats(),
+            parsing: self.parser.counters().snapshot(),
             answer_cache: wtq_cache::CacheStats::default(),
         }
     }
@@ -629,6 +630,25 @@ mod tests {
             engine.explain_batch_cancellable(&catalog, &requests, &cancel),
             Err(BatchError::Cancelled)
         ));
+    }
+
+    #[test]
+    fn engines_count_their_own_parses() {
+        let table = samples::olympics();
+        let first = Engine::new();
+        let second = Engine::new();
+        first.explain_question("Which city hosted in 2008?", &table, 1);
+        first.explain_question("Greece held its last Olympics in what year?", &table, 1);
+        second.explain_question("Which city hosted in 2008?", &table, 1);
+        // A clone, and an engine around a clone of the parser, start from
+        // zero too.
+        let clone = first.clone();
+        let rebuilt = Engine::with_parser(first.parser().clone());
+        assert_eq!(first.stats().parsing.questions, 2);
+        assert_eq!(second.stats().parsing.questions, 1);
+        assert_eq!(clone.stats().parsing.questions, 0);
+        assert_eq!(rebuilt.stats().parsing.questions, 0);
+        assert!(first.stats().parsing.lexicon_ns > 0);
     }
 
     #[test]

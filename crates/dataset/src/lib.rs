@@ -1,7 +1,8 @@
 //! # wtq-dataset
 //!
 //! Synthetic WikiTableQuestions-style dataset (the substitution for the
-//! benchmark of §6.1, documented in DESIGN.md).
+//! benchmark of §6.1; see the `wtq-dataset` row of README.md's *Workspace
+//! layout*).
 //!
 //! The real WikiTableQuestions corpus pairs 22,033 crowd-sourced questions
 //! with ~2,100 Wikipedia tables (each at least 8 rows × 5 columns) and keeps

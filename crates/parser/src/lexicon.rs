@@ -3,11 +3,13 @@
 //! The floating-parser family of semantic parsers anchors candidate formulas
 //! to *links* between question phrases and the table: cell values, column
 //! headers and literal numbers. This module finds those links with greedy
-//! longest-match n-gram lookup over the knowledge-base view of the table.
+//! longest-match n-gram lookup against the table's shared [`LexiconIndex`],
+//! so linking costs per question scale with its tokens, not with the
+//! table's cells.
 
 use std::collections::HashSet;
 
-use wtq_table::{KnowledgeBase, Table, Value};
+use wtq_table::{KnowledgeBase, LexiconIndex, Table, Value};
 
 /// A question phrase linked to a table value in a specific column.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,7 +128,7 @@ pub fn tokenize(question: &str) -> Vec<String> {
     tokens
 }
 
-const STOP_WORDS: &[&str] = &[
+pub(crate) const STOP_WORDS: &[&str] = &[
     "the", "a", "an", "of", "in", "is", "are", "was", "were", "for", "to", "and", "or", "with",
     "do", "does", "did", "what", "which", "who", "whose", "when", "how", "many", "much", "that",
     "have", "has", "had", "than", "also", "row", "rows", "table", "column", "value", "values",
@@ -160,13 +162,15 @@ pub(crate) fn tokenize_stage(question: &str) -> (String, Vec<String>) {
 }
 
 /// The entity-linking stage of question analysis: value links, column links
-/// and literal numbers against the knowledge-base view.
+/// and literal numbers against the knowledge-base view. Its output equals
+/// the retained all-cells scan, [`crate::reference::link_stage_scan`].
 pub(crate) fn link_stage(
     lowered: String,
     tokens: Vec<String>,
     kb: &KnowledgeBase<'_>,
 ) -> QuestionAnalysis {
     let table = kb.table();
+    let lexicon = kb.index().lexicon();
     // Column links: a column is linked when its full lower-cased header
     // appears as a phrase in the question.
     let mut column_links = Vec::new();
@@ -194,7 +198,7 @@ pub(crate) fn link_stage(
             if n == 1 && (STOP_WORDS.contains(&phrase.as_str()) || phrase.len() < 2) {
                 continue;
             }
-            let links = kb.link_text(&phrase);
+            let links = lexicon.link_text(&phrase);
             if links.is_empty() {
                 continue;
             }
@@ -218,36 +222,28 @@ pub(crate) fn link_stage(
 
     // Partial links: an unconsumed content token that appears as a word
     // inside a cell value still links to it ("Erie" → "Lake Erie", matching
-    // how the paper's Figure 9 question refers to the lake). The distinct
-    // values are computed once per column, not once per token.
-    let distinct_per_column: Vec<Vec<Value>> = (0..table.num_columns())
-        .map(|column| table.distinct_column_values(column))
-        .collect();
+    // how the paper's Figure 9 question refers to the lake). The lexicon's
+    // word postings list those values by column, then first appearance.
     for (i, token) in tokens.iter().enumerate() {
-        if consumed.contains(&i) || token.len() < 3 || STOP_WORDS.contains(&token.as_str()) {
+        if consumed.contains(&i)
+            || token.len() < LexiconIndex::MIN_WORD_LEN
+            || STOP_WORDS.contains(&token.as_str())
+        {
             continue;
         }
         if token.parse::<f64>().is_ok() {
             continue;
         }
-        for (column, distinct) in distinct_per_column.iter().enumerate() {
-            for value in distinct {
-                let text = value.to_string().to_lowercase();
-                let is_word_inside = text != *token
-                    && text
-                        .split(|c: char| !c.is_alphanumeric())
-                        .any(|word| word == token);
-                if is_word_inside
-                    && !value_links
-                        .iter()
-                        .any(|l| l.column == column && l.value == *value)
-                {
-                    value_links.push(ValueLink {
-                        column,
-                        value: value.clone(),
-                        phrase: token.clone(),
-                    });
-                }
+        for (column, value) in lexicon.word_postings(token) {
+            if !value_links
+                .iter()
+                .any(|l| l.column == column && l.value == *value)
+            {
+                value_links.push(ValueLink {
+                    column,
+                    value: value.clone(),
+                    phrase: token.clone(),
+                });
             }
         }
     }

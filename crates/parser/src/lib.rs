@@ -30,8 +30,9 @@
 //! walk (scoring, serialization, gradient updates) reproduces the historical
 //! string-keyed pipeline bit for bit — pinned by [`reference`], which keeps
 //! the original `BTreeMap<String, f64>` implementation alive as a
-//! differential oracle. [`stats`] exposes per-stage parse timing spans and
-//! [`scratch`] carries the reusable per-session working buffers.
+//! differential oracle (with the original entity-linking scan). [`stats`]
+//! counts per-stage parse timing spans per parser and [`scratch`] carries
+//! the reusable per-session working buffers.
 
 pub mod candidates;
 pub mod features;
@@ -48,6 +49,6 @@ pub use features::{extract_features, FeatureVec, QuestionContext};
 pub use lexicon::{analyze_question, analyze_question_with, normalize_question, QuestionAnalysis};
 pub use model::{formulas_equivalent, Candidate, LogLinearModel, SemanticParser};
 pub use scratch::ScratchSpace;
-pub use stats::{parse_stats, reset_parse_stats, take_last_parse_stats, ParseStats};
+pub use stats::{take_last_parse_stats, ParseCounters, ParseStats};
 pub use symbols::{feature_name, intern, lookup, FeatureId};
 pub use train::{ParserEvaluation, TrainConfig, TrainExample, Trainer};

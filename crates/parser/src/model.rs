@@ -28,7 +28,7 @@ use crate::candidates::{
 use crate::features::{extract_features_in, FeatureVec, QuestionContext};
 use crate::lexicon::{analyze_question, link_stage, tokenize_stage, QuestionAnalysis};
 use crate::scratch::ScratchSpace;
-use crate::stats::{record_parse, ParseSpans};
+use crate::stats::{ParseCounters, ParseSpans};
 use crate::symbols::{self, FeatureId, TRIGGER_KINDS};
 
 /// A scored candidate query.
@@ -295,6 +295,10 @@ pub struct SemanticParser {
     pub model: LogLinearModel,
     /// Candidate-generation limits.
     pub config: CandidateConfig,
+    /// Stage timing counters of every parse through this parser. Fresh on
+    /// construction and shared by clones; see
+    /// [`SemanticParser::with_counters`].
+    counters: Arc<ParseCounters>,
 }
 
 impl Default for SemanticParser {
@@ -309,6 +313,7 @@ impl SemanticParser {
         SemanticParser {
             model: LogLinearModel::new(),
             config: CandidateConfig::default(),
+            counters: Arc::default(),
         }
     }
 
@@ -317,7 +322,21 @@ impl SemanticParser {
         SemanticParser {
             model: LogLinearModel::with_prior(),
             config: CandidateConfig::default(),
+            counters: Arc::default(),
         }
+    }
+
+    /// Count this parser's parses into `counters` instead of its current
+    /// set — how an owner (an engine) keeps counts that no other holder of
+    /// the model shares.
+    pub fn with_counters(mut self, counters: Arc<ParseCounters>) -> Self {
+        self.counters = counters;
+        self
+    }
+
+    /// The stage timing counters this parser records into.
+    pub fn counters(&self) -> &Arc<ParseCounters> {
+        &self.counters
     }
 
     /// Analyze a question against a table (exposed for feature reuse).
@@ -358,7 +377,7 @@ impl SemanticParser {
     /// Like [`SemanticParser::parse_in_session`] but reusing the caller's
     /// [`ScratchSpace`], so a session answering many questions allocates its
     /// working buffers once. Records the per-stage timing spans into the
-    /// process-wide [`crate::parse_stats`] counters.
+    /// parser's [`SemanticParser::counters`].
     pub fn parse_in_session_with(
         &self,
         question: &str,
@@ -375,7 +394,7 @@ impl SemanticParser {
         let generated = Instant::now();
         let (candidates, features_ns, score_ns) =
             self.rank_timed(raw, &analysis, evaluator.table(), scratch);
-        record_parse(&ParseSpans {
+        self.counters.record(&ParseSpans {
             tokenize_ns: (tokenized - start).as_nanos() as u64,
             lexicon_ns: (linked - tokenized).as_nanos() as u64,
             candidates_ns: ((generated - linked).as_nanos() as u64).saturating_sub(eval_ns),

@@ -2,13 +2,16 @@
 //!
 //! This module preserves the original `BTreeMap<String, f64>` feature
 //! extraction, scoring, ranking and AdaGrad training, exactly as they were
-//! before feature names were interned ([`crate::symbols`]). It exists for
-//! the same two reasons as `wtq_dcs::reference`:
+//! before feature names were interned ([`crate::symbols`]), and the original
+//! entity-linking scan ([`link_stage_scan`]) from before linking moved onto
+//! the table's [`wtq_table::LexiconIndex`]. It exists for the same two
+//! reasons as `wtq_dcs::reference`:
 //!
 //! 1. **Differential testing** — the proptest suites assert that the
 //!    interned pipeline produces candidate scores, ranking orders and
 //!    trained weights *byte-identical* to this implementation on random
-//!    tables and questions.
+//!    tables and questions, and that indexed linking produces the scan's
+//!    links in the scan's order.
 //! 2. **Benchmark baseline** — the `parse_regression` CI gate and the
 //!    `parsing` experiment section report interned-vs-string speedups
 //!    against this implementation.
@@ -17,17 +20,17 @@
 //! behavior, string allocations, B-tree walks, repeated `sub_formulas()`
 //! traversals, `to_string()` in the sort comparator and all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use wtq_dcs::{AggregateOp, Answer, Evaluator, Formula, SuperlativeOp};
-use wtq_table::{Catalog, IndexCache, Table};
+use wtq_table::{Catalog, IndexCache, KnowledgeBase, Table, Value};
 
 use crate::candidates::{generate_candidates_with, CandidateConfig, RawCandidate};
-use crate::lexicon::{analyze_question_with, QuestionAnalysis};
+use crate::lexicon::{analyze_question_with, QuestionAnalysis, ValueLink, STOP_WORDS};
 use crate::model::{softmax, LogLinearModel};
 use crate::train::{reward, TrainConfig, TrainExample};
 
@@ -591,4 +594,122 @@ impl ReferenceTrainer {
         }
         true
     }
+}
+
+/// The original entity-linking stage: every n-gram scans every distinct
+/// value of every column ([`link_text_scan`]), and the partial-link pass
+/// renders and word-splits every distinct value once per content token.
+/// Takes the output of normalization and tokenization, like the indexed
+/// stage it specifies.
+pub fn link_stage_scan(
+    lowered: String,
+    tokens: Vec<String>,
+    kb: &KnowledgeBase<'_>,
+) -> QuestionAnalysis {
+    let table = kb.table();
+    let mut column_links = Vec::new();
+    for column in 0..table.num_columns() {
+        let header = table.column_name(column).to_lowercase();
+        if !header.is_empty() && lowered.contains(&header) {
+            column_links.push(column);
+        }
+    }
+
+    let mut value_links: Vec<ValueLink> = Vec::new();
+    let mut consumed: HashSet<usize> = HashSet::new();
+    for n in (1..=4usize).rev() {
+        if n > tokens.len() {
+            continue;
+        }
+        for start in 0..=(tokens.len() - n) {
+            if (start..start + n).any(|i| consumed.contains(&i)) {
+                continue;
+            }
+            let phrase = tokens[start..start + n].join(" ");
+            if n == 1 && (STOP_WORDS.contains(&phrase.as_str()) || phrase.len() < 2) {
+                continue;
+            }
+            let links = link_text_scan(kb, &phrase);
+            if links.is_empty() {
+                continue;
+            }
+            for (column, value) in links {
+                if !value_links
+                    .iter()
+                    .any(|l| l.column == column && l.value == value)
+                {
+                    value_links.push(ValueLink {
+                        column,
+                        value,
+                        phrase: phrase.clone(),
+                    });
+                }
+            }
+            for i in start..start + n {
+                consumed.insert(i);
+            }
+        }
+    }
+
+    let distinct_per_column: Vec<Vec<Value>> = (0..table.num_columns())
+        .map(|column| table.distinct_column_values(column))
+        .collect();
+    for (i, token) in tokens.iter().enumerate() {
+        if consumed.contains(&i) || token.len() < 3 || STOP_WORDS.contains(&token.as_str()) {
+            continue;
+        }
+        if token.parse::<f64>().is_ok() {
+            continue;
+        }
+        for (column, distinct) in distinct_per_column.iter().enumerate() {
+            for value in distinct {
+                let text = value.to_string().to_lowercase();
+                let is_word_inside = text != *token
+                    && text
+                        .split(|c: char| !c.is_alphanumeric())
+                        .any(|word| word == token);
+                if is_word_inside
+                    && !value_links
+                        .iter()
+                        .any(|l| l.column == column && l.value == *value)
+                {
+                    value_links.push(ValueLink {
+                        column,
+                        value: value.clone(),
+                        phrase: token.clone(),
+                    });
+                }
+            }
+        }
+    }
+
+    let mut numbers: Vec<f64> = tokens
+        .iter()
+        .filter_map(|t| t.parse::<f64>().ok())
+        .collect();
+    numbers.dedup();
+
+    QuestionAnalysis {
+        tokens,
+        lowered,
+        value_links,
+        column_links,
+        numbers,
+    }
+}
+
+/// The original `KnowledgeBase::link_text`: every `(column, value)` pair
+/// whose value matches `text` ([`Value::matches_text`]), found by testing
+/// every distinct value of every column, sorted by column then value.
+pub fn link_text_scan(kb: &KnowledgeBase<'_>, text: &str) -> Vec<(usize, Value)> {
+    let mut out = Vec::new();
+    for column in 0..kb.index().num_columns() {
+        for (value, _records) in kb.column(column).entries() {
+            if value.matches_text(text) {
+                out.push((column, value.clone()));
+            }
+        }
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    out
 }

@@ -1,31 +1,28 @@
-//! Parse-pipeline observability: process-wide timing spans for each stage
-//! of question parsing.
+//! Parse-pipeline observability: timing spans for each stage of question
+//! parsing, counted per parser.
 //!
 //! Every [`crate::SemanticParser::parse_in_session`] call is decomposed
 //! into monotonic-clock spans — tokenize, lexicon (entity linking),
 //! candidate composition, candidate execution (`eval`), feature extraction
-//! and scoring/ranking — accumulated into plain relaxed atomics (one batch
-//! of `fetch_add`s per question, nothing on the per-candidate path) and
-//! snapshotted by [`parse_stats`] into a serializable [`ParseStats`] that
-//! the core engine embeds in its stats surface, mirroring
-//! `wtq_sql::PlannerStats`.
+//! and scoring/ranking — accumulated into the parser's [`ParseCounters`]
+//! set (plain relaxed atomics, one batch of `fetch_add`s per question,
+//! nothing on the per-candidate path) and snapshotted into a serializable
+//! [`ParseStats`] that the core engine embeds in its stats surface.
+//!
+//! Like `wtq_sql::PlannerCounters`, the counters are per owner, not
+//! process-wide: every parser is built with a fresh set (its clones share
+//! it), and [`crate::SemanticParser::with_counters`] hands it another, so
+//! two engines — or interleaved tests and benches — never bleed counts into
+//! each other.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-static QUESTIONS: AtomicU64 = AtomicU64::new(0);
-static TOKENIZE_NS: AtomicU64 = AtomicU64::new(0);
-static LEXICON_NS: AtomicU64 = AtomicU64::new(0);
-static CANDIDATES_NS: AtomicU64 = AtomicU64::new(0);
-static EVAL_NS: AtomicU64 = AtomicU64::new(0);
-static FEATURES_NS: AtomicU64 = AtomicU64::new(0);
-static SCORE_NS: AtomicU64 = AtomicU64::new(0);
-
 /// A point-in-time snapshot of the parse-stage timing counters.
 /// Serializable so stats endpoints can embed it directly; all spans are
-/// cumulative nanoseconds across every question parsed by the process.
+/// cumulative nanoseconds across every question counted in the set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParseStats {
     /// Questions parsed end to end (`parse_in_session` calls).
@@ -57,8 +54,8 @@ impl ParseStats {
     }
 }
 
-/// One parse's span measurements, flushed to the global counters in a
-/// single batch by [`record_parse`].
+/// One parse's span measurements, flushed to a [`ParseCounters`] set in a
+/// single batch by [`ParseCounters::record`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ParseSpans {
     pub tokenize_ns: u64,
@@ -72,21 +69,56 @@ pub(crate) struct ParseSpans {
 thread_local! {
     /// The most recent parse's spans on this thread, for callers that want
     /// the *per-question* breakdown (request tracing) rather than the
-    /// cumulative process counters. Thread-local is exact here: a parse
+    /// cumulative counters. Thread-local is exact here: a parse
     /// runs inline on its calling thread, so the caller that triggered it
     /// reads back precisely its own spans.
     static LAST_PARSE: Cell<Option<ParseSpans>> = const { Cell::new(None) };
 }
 
-pub(crate) fn record_parse(spans: &ParseSpans) {
-    QUESTIONS.fetch_add(1, Ordering::Relaxed);
-    TOKENIZE_NS.fetch_add(spans.tokenize_ns, Ordering::Relaxed);
-    LEXICON_NS.fetch_add(spans.lexicon_ns, Ordering::Relaxed);
-    CANDIDATES_NS.fetch_add(spans.candidates_ns, Ordering::Relaxed);
-    EVAL_NS.fetch_add(spans.eval_ns, Ordering::Relaxed);
-    FEATURES_NS.fetch_add(spans.features_ns, Ordering::Relaxed);
-    SCORE_NS.fetch_add(spans.score_ns, Ordering::Relaxed);
-    LAST_PARSE.with(|last| last.set(Some(*spans)));
+/// One parser's stage counters. Records are relaxed atomics, so a set can
+/// be shared across threads behind an `Arc` (an engine's sessions all parse
+/// through the engine's one parser).
+#[derive(Debug, Default)]
+pub struct ParseCounters {
+    questions: AtomicU64,
+    tokenize_ns: AtomicU64,
+    lexicon_ns: AtomicU64,
+    candidates_ns: AtomicU64,
+    eval_ns: AtomicU64,
+    features_ns: AtomicU64,
+    score_ns: AtomicU64,
+}
+
+impl ParseCounters {
+    /// Snapshot the counters.
+    pub fn snapshot(&self) -> ParseStats {
+        ParseStats {
+            questions: self.questions.load(Ordering::Relaxed),
+            tokenize_ns: self.tokenize_ns.load(Ordering::Relaxed),
+            lexicon_ns: self.lexicon_ns.load(Ordering::Relaxed),
+            candidates_ns: self.candidates_ns.load(Ordering::Relaxed),
+            eval_ns: self.eval_ns.load(Ordering::Relaxed),
+            features_ns: self.features_ns.load(Ordering::Relaxed),
+            score_ns: self.score_ns.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Count one parse, and leave its spans for [`take_last_parse_stats`]
+    /// on this thread.
+    pub(crate) fn record(&self, spans: &ParseSpans) {
+        self.questions.fetch_add(1, Ordering::Relaxed);
+        self.tokenize_ns
+            .fetch_add(spans.tokenize_ns, Ordering::Relaxed);
+        self.lexicon_ns
+            .fetch_add(spans.lexicon_ns, Ordering::Relaxed);
+        self.candidates_ns
+            .fetch_add(spans.candidates_ns, Ordering::Relaxed);
+        self.eval_ns.fetch_add(spans.eval_ns, Ordering::Relaxed);
+        self.features_ns
+            .fetch_add(spans.features_ns, Ordering::Relaxed);
+        self.score_ns.fetch_add(spans.score_ns, Ordering::Relaxed);
+        LAST_PARSE.with(|last| last.set(Some(*spans)));
+    }
 }
 
 /// Take the stage breakdown of the most recent parse on *this thread* (the
@@ -103,29 +135,4 @@ pub fn take_last_parse_stats() -> Option<ParseStats> {
         features_ns: spans.features_ns,
         score_ns: spans.score_ns,
     })
-}
-
-/// Snapshot the process-wide parse-stage counters.
-pub fn parse_stats() -> ParseStats {
-    ParseStats {
-        questions: QUESTIONS.load(Ordering::Relaxed),
-        tokenize_ns: TOKENIZE_NS.load(Ordering::Relaxed),
-        lexicon_ns: LEXICON_NS.load(Ordering::Relaxed),
-        candidates_ns: CANDIDATES_NS.load(Ordering::Relaxed),
-        eval_ns: EVAL_NS.load(Ordering::Relaxed),
-        features_ns: FEATURES_NS.load(Ordering::Relaxed),
-        score_ns: SCORE_NS.load(Ordering::Relaxed),
-    }
-}
-
-/// Reset all counters to zero. Intended for benchmark harnesses that report
-/// per-section stage breakdowns; concurrent parses may interleave.
-pub fn reset_parse_stats() {
-    QUESTIONS.store(0, Ordering::Relaxed);
-    TOKENIZE_NS.store(0, Ordering::Relaxed);
-    LEXICON_NS.store(0, Ordering::Relaxed);
-    CANDIDATES_NS.store(0, Ordering::Relaxed);
-    EVAL_NS.store(0, Ordering::Relaxed);
-    FEATURES_NS.store(0, Ordering::Relaxed);
-    SCORE_NS.store(0, Ordering::Relaxed);
 }

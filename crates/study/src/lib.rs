@@ -5,8 +5,9 @@
 //! the feedback-collection / retraining pipeline.
 //!
 //! The paper's evaluation is driven by Amazon Mechanical Turk workers; this
-//! crate replaces them with a calibrated simulation (see DESIGN.md,
-//! substitution 3) so every experiment runs offline and deterministically:
+//! crate replaces them with a calibrated simulation (the `wtq-study` row of
+//! README.md's *Workspace layout*; the study itself is summarized in
+//! PAPER.md) so every experiment runs offline and deterministically:
 //!
 //! * [`user`] — a simulated worker who inspects the explanations of the
 //!   parser's top-k candidates and marks the correct one (or *None*), with

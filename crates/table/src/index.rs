@@ -13,7 +13,8 @@
 //!   range comparisons (`Games.(> 4)`) by binary search,
 //!
 //! plus a lowercase column-name map so `column_index` is a hash lookup
-//! instead of a linear case-insensitive scan.
+//! instead of a linear case-insensitive scan, and — built on the first
+//! question — the entity-linking [`LexiconIndex`] over the distinct values.
 //!
 //! The index holds no reference to the table, so it can be built once and
 //! shared (e.g. behind an `Arc`) between the knowledge-base view, the lambda
@@ -26,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::cell::CellRef;
+use crate::lexicon::LexiconIndex;
 use crate::table::{ColumnType, RecordIdx, Table};
 use crate::value::Value;
 
@@ -120,6 +122,10 @@ pub struct TableIndex {
     /// ([`Table::fingerprint`]), making [`TableIndex::describes`] a single
     /// integer comparison on every cache lookup.
     fingerprint: u64,
+    /// Entity-linking lookups, built on first use (the first question on
+    /// the table pays for it, not the table load) and shared by every
+    /// session holding this index.
+    lexicon: OnceLock<LexiconIndex>,
 }
 
 impl TableIndex {
@@ -148,6 +154,7 @@ impl TableIndex {
             text_columns,
             num_records: table.num_records(),
             fingerprint: table.fingerprint(),
+            lexicon: OnceLock::new(),
         }
     }
 
@@ -221,6 +228,13 @@ impl TableIndex {
                 })
             })
             .as_deref()
+    }
+
+    /// The entity-linking lexicon over every distinct cell value: exact
+    /// text links and word postings. Built on first use and memoized.
+    pub fn lexicon(&self) -> &LexiconIndex {
+        self.lexicon
+            .get_or_init(|| LexiconIndex::build(&self.columns))
     }
 
     /// Records whose cell in `column` equals `value`, ascending.

@@ -70,19 +70,12 @@ impl<'a> KnowledgeBase<'a> {
         self.index.matching_cells(column, value)
     }
 
-    /// Every `(column, value)` pair whose value's text matches `text`,
-    /// used for entity linking of question tokens to the table.
+    /// Every `(column, value)` pair whose value matches `text`
+    /// ([`Value::matches_text`]), ordered by column, then by value — used
+    /// for entity linking of question phrases to the table. Answered from
+    /// the index's shared [`LexiconIndex`](crate::LexiconIndex).
     pub fn link_text(&self, text: &str) -> Vec<(usize, Value)> {
-        let mut out = Vec::new();
-        for column in 0..self.index.num_columns() {
-            for (value, _records) in self.index.column(column).entries() {
-                if value.matches_text(text) {
-                    out.push((column, value.clone()));
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        out
+        self.index.lexicon().link_text(text)
     }
 }
 
@@ -136,6 +129,128 @@ mod tests {
         let links = kb.link_text("2008");
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].0, table.column_index("Year").unwrap());
+    }
+
+    #[test]
+    fn link_text_numbers_match_within_tolerance_and_formatting() {
+        let table = Table::from_rows(
+            "prizes",
+            &["Prize", "Rating", "Share"],
+            &[vec!["$150,000", "2.945", "85%"], vec!["1,000", "7", "5%"]],
+        )
+        .unwrap();
+        let kb = KnowledgeBase::new(&table);
+        let prize = vec![(0, Value::num(150_000.0))];
+        for text in [
+            "150000",
+            "$150,000",
+            "150,000",
+            " 150000 ",
+            "150000.0000001",
+        ] {
+            assert_eq!(kb.link_text(text), prize, "on {text:?}");
+        }
+        assert!(kb.link_text("150001").is_empty());
+        assert!(kb.link_text("150000.001").is_empty());
+        assert_eq!(
+            kb.link_text("2.9450000000001"),
+            vec![(1, Value::num(2.945))]
+        );
+        assert_eq!(kb.link_text("$1,000"), vec![(0, Value::num(1000.0))]);
+        // `%` is stripped on both sides: "85" and "85%" both link the cell.
+        assert_eq!(kb.link_text("85"), vec![(2, Value::num(85.0))]);
+        assert_eq!(kb.link_text("85%"), vec![(2, Value::num(85.0))]);
+        assert_eq!(kb.link_text("5"), vec![(2, Value::num(5.0))]);
+        assert_eq!(kb.link_text("7"), vec![(1, Value::num(7.0))]);
+        assert!(kb.link_text("seven").is_empty());
+    }
+
+    #[test]
+    fn link_text_year_only_dates_link_through_their_display_text() {
+        use crate::table::TableBuilder;
+        let table = TableBuilder::new("seasons")
+            .column("Season")
+            .column("Goals")
+            .row(vec![Value::year(2004), Value::num(2004.0)])
+            .unwrap()
+            .row(vec![Value::year(2008), Value::num(12.0)])
+            .unwrap()
+            .build()
+            .unwrap();
+        let kb = KnowledgeBase::new(&table);
+        // The year-only date renders as "2004", so the number text links it
+        // as well as the numeric cell of the same magnitude.
+        assert_eq!(
+            kb.link_text("2004"),
+            vec![(0, Value::year(2004)), (1, Value::num(2004.0))]
+        );
+        assert_eq!(kb.link_text(" 2008 "), vec![(0, Value::year(2008))]);
+        // A date matches by text, not by number: other spellings of the
+        // same magnitude only reach the numeric cell.
+        assert_eq!(kb.link_text("2004.0"), vec![(1, Value::num(2004.0))]);
+        assert_eq!(kb.link_text("2,004"), vec![(1, Value::num(2004.0))]);
+    }
+
+    #[test]
+    fn link_text_full_dates_match_parsed_and_display_forms() {
+        let table = Table::from_rows(
+            "events",
+            &["Date", "Founded"],
+            &[
+                vec!["June 8, 2013", "October 1983"],
+                vec!["March 3, 2001", "1990"],
+            ],
+        )
+        .unwrap();
+        let kb = KnowledgeBase::new(&table);
+        let june = vec![(0, Value::date(2013, 6, 8))];
+        // Through `parse_date`, in every format it reads…
+        for text in ["June 8, 2013", "8 June 2013", "jun 8 2013", "2013/06/08"] {
+            assert_eq!(kb.link_text(text), june, "on {text:?}");
+        }
+        // …and through the ISO display text (which `parse_date` reads too).
+        assert_eq!(kb.link_text("2013-06-08"), june);
+        assert_eq!(
+            kb.link_text("March 3, 2001"),
+            vec![(0, Value::date(2001, 3, 3))]
+        );
+        assert!(kb.link_text("March 4, 2001").is_empty());
+        // A month-precision date displays as "1983-10", which only the
+        // display-text path matches; "Oct 1983" goes through `parse_date`.
+        let october = vec![(1, Value::parse("October 1983"))];
+        assert_eq!(kb.link_text("1983-10"), october);
+        assert_eq!(kb.link_text("Oct 1983"), october);
+        assert!(kb.link_text("1983").is_empty());
+    }
+
+    #[test]
+    fn link_text_strings_fold_ascii_case_only() {
+        let table = Table::from_rows(
+            "places",
+            &["City", "Street", "Group"],
+            &[
+                vec!["İstanbul", "STRASSE", "Ärzte"],
+                vec!["Greece", "Main St", "greece"],
+            ],
+        )
+        .unwrap();
+        let kb = KnowledgeBase::new(&table);
+        assert_eq!(kb.link_text("İSTANBUL"), vec![(0, Value::str("İstanbul"))]);
+        // Unicode lowercasing turns "İ" into "i̇", which is not ASCII-equal.
+        assert!(kb.link_text("i̇stanbul").is_empty());
+        assert!(kb.link_text("istanbul").is_empty());
+        assert_eq!(kb.link_text("strasse"), vec![(1, Value::str("STRASSE"))]);
+        assert!(kb.link_text("straße").is_empty());
+        assert_eq!(kb.link_text("ÄRZTE"), vec![(2, Value::str("Ärzte"))]);
+        assert!(kb.link_text("ärzte").is_empty());
+        // Surrounding whitespace is trimmed; one text links every column
+        // holding it, in column order.
+        assert_eq!(
+            kb.link_text("  GREECE "),
+            vec![(0, Value::str("Greece")), (2, Value::str("greece"))]
+        );
+        assert!(kb.link_text("gree").is_empty());
+        assert!(kb.link_text("").is_empty());
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * [`index::TableIndex`] — the indexed columnar view (inverted indexes,
 //!   value-sorted permutations, sorted numeric projections, O(1) column-name
 //!   lookup) built once per table and shared by every engine,
+//! * [`lexicon::LexiconIndex`] — the entity-linking lookups (exact text
+//!   links and word postings) the index builds on first question,
 //! * [`kb::KnowledgeBase`] — the KB view over that index,
 //! * [`csv`] — a small TSV/CSV reader and writer (no external dependency),
 //! * [`catalog::Catalog`] — a named collection of tables,
@@ -36,6 +38,7 @@ pub mod csv;
 pub mod error;
 pub mod index;
 pub mod kb;
+pub mod lexicon;
 pub mod samples;
 pub mod table;
 pub mod value;
@@ -46,6 +49,7 @@ pub use column::{DateColumn, DictColumn, DictId, F64Column};
 pub use error::TableError;
 pub use index::{CacheStats, ColumnIndex, IndexCache, TableIndex, DEFAULT_INDEX_CACHE_CAPACITY};
 pub use kb::KnowledgeBase;
+pub use lexicon::LexiconIndex;
 pub use table::{Column, ColumnType, RecordIdx, Table, TableBuilder};
 pub use value::{Date, Value};
 
